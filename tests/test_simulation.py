@@ -1,7 +1,12 @@
 """Tests for the synchronous store-and-forward scheduler."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+from tests.golden.regenerate_sim_goldens import sim_golden_cases
 
 from repro.core.path_selection import HierarchicalRouter
 from repro.mesh.mesh import Mesh
@@ -140,3 +145,33 @@ class TestTorusSimulation:
         sim = simulate(torus, result)
         assert sim.makespan >= max(sim.congestion, sim.dilation)
         assert np.all(sim.delivery_times <= sim.makespan)
+
+
+SIM_GOLDEN_PATH = Path(__file__).parent / "golden" / "sim_hashes.json"
+SIM_CASES = dict(sim_golden_cases())
+
+
+def load_sim_goldens() -> dict[str, str]:
+    assert SIM_GOLDEN_PATH.exists(), (
+        f"golden file missing: {SIM_GOLDEN_PATH} — run "
+        "tests/golden/regenerate_sim_goldens.py"
+    )
+    return json.loads(SIM_GOLDEN_PATH.read_text())
+
+
+class TestSimulatorGoldens:
+    """Both simulators' full outputs, pinned cell by cell."""
+
+    def test_goldens_cover_the_matrix(self):
+        assert set(load_sim_goldens()) == set(SIM_CASES), (
+            "golden matrix out of sync with sim_golden_cases() — run "
+            "tests/golden/regenerate_sim_goldens.py"
+        )
+
+    @pytest.mark.parametrize("key", sorted(SIM_CASES), ids=lambda k: k.replace("|", ","))
+    def test_golden_cell(self, key):
+        assert SIM_CASES[key]() == load_sim_goldens()[key], (
+            f"simulator output changed for {key}: a stored seed now "
+            "schedules differently (regenerate_sim_goldens.py --force if "
+            "intentional)"
+        )
