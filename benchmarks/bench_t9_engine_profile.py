@@ -2,18 +2,21 @@
 
 Not a paper figure: this is the engineering experiment behind the
 production north star ("route heavy traffic as fast as the hardware
-allows").  It measures the three ``route()`` execution modes on the same
-problem and seed —
+allows").  It measures the two ``route()`` execution modes on the same
+problem and seed, plus the scalar reference —
 
 * ``batch``  — vectorised engine (sequence tables + array assembly);
-* ``loop``   — engine plan, scalar assembly (the byte-identical reference);
+* ``oracle`` — the verify oracle's per-packet replay of the engine plan
+  (:func:`repro.verify.oracles._oracle_batch_paths`, the byte-identical
+  reference);
 * ``legacy`` — the original per-packet spawned-stream loop;
 
 — reports the per-stage profile of the batch path (sequence / draw /
 assemble), and quantifies the shared-decomposition cache by routing with
 the cache disabled.  The qualitative claims asserted here:
 
-* batch and loop produce byte-identical paths (the engine's contract);
+* batch and the oracle produce byte-identical paths (the engine's
+  contract);
 * batch is at least several times faster than legacy at default sizes;
 * a warm cache makes the sequence stage cheaper than a cold one.
 
@@ -47,6 +50,7 @@ from repro.mesh.paths import remove_cycles
 from repro.metrics.congestion import edge_loads, node_loads
 from repro.metrics.stretch import stretches
 from repro.obs import Profiler
+from repro.verify.oracles import _oracle_batch_paths
 from repro.workloads.generators import random_pairs
 from repro.workloads.permutations import transpose
 
@@ -60,6 +64,16 @@ def _time(fn, repeats: int = 3) -> float:
     return best
 
 
+def _oracle_identical(router, problem, seed: int) -> bool:
+    """Engine paths == the oracle's scalar replay of the same plan."""
+    pa = router.route(problem, seed=seed).paths
+    po = _oracle_batch_paths(router.batch_spec(problem), seed)
+    return len(pa) == len(po) and all(
+        a.tobytes() == np.asarray(b, dtype=np.int64).tobytes()
+        for a, b in zip(pa, po)
+    )
+
+
 def run_experiment(m: int = 32, seed: int = 0) -> list[dict]:
     mesh = Mesh((m, m))
     problem = transpose(mesh)
@@ -69,13 +83,14 @@ def run_experiment(m: int = 32, seed: int = 0) -> list[dict]:
     cache.invalidate()
     cold = _time(lambda: router.route(problem, seed=seed), repeats=1)
     warm = _time(lambda: router.route(problem, seed=seed))
-    loop = _time(lambda: router.route(problem, seed=seed, batch="loop"))
+    spec = router.batch_spec(problem)
+    oracle = _time(lambda: _oracle_batch_paths(spec, seed), repeats=1)
     legacy = _time(lambda: router.route(problem, seed=seed, batch=False))
 
     rows = [
         {"mode": "batch (cold cache)", "wall_s": round(cold, 4), "vs_batch": round(cold / warm, 1)},
         {"mode": "batch (warm cache)", "wall_s": round(warm, 4), "vs_batch": 1.0},
-        {"mode": "loop reference", "wall_s": round(loop, 4), "vs_batch": round(loop / warm, 1)},
+        {"mode": "oracle reference", "wall_s": round(oracle, 4), "vs_batch": round(oracle / warm, 1)},
         {"mode": "legacy per-packet", "wall_s": round(legacy, 4), "vs_batch": round(legacy / warm, 1)},
     ]
     profiler.reset()
@@ -88,10 +103,8 @@ def run_experiment(m: int = 32, seed: int = 0) -> list[dict]:
                 "vs_batch": round(r["share"], 2),
             }
         )
-    # byte-identity of the two engine assemblies, asserted on every run
-    pa = router.route(problem, seed=seed).paths
-    pl = router.route(problem, seed=seed, batch="loop").paths
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(pa, pl))
+    # byte-identity of the engine against the oracle, asserted on every run
+    assert _oracle_identical(router, problem, seed)
     return rows
 
 
@@ -296,13 +309,9 @@ def run_kernels_experiment(
     return rows
 
 
-def test_t9_batch_loop_identical():
+def test_t9_batch_oracle_identical():
     mesh = Mesh((16, 16))
-    problem = transpose(mesh)
-    router = HierarchicalRouter()
-    pa = router.route(problem, seed=3).paths
-    pl = router.route(problem, seed=3, batch="loop").paths
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(pa, pl))
+    assert _oracle_identical(HierarchicalRouter(), transpose(mesh), 3)
 
 
 def test_t9_batch_beats_legacy():

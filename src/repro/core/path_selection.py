@@ -373,7 +373,7 @@ class HierarchicalRouter(Router):
         problem: RoutingProblem,
         seed: int | None = None,
         *,
-        batch: bool | str = True,
+        batch: bool = True,
         **kwargs,
     ) -> RoutingResult:
         self.bits_log = []

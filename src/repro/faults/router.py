@@ -180,7 +180,7 @@ class FaultAwareRouter(Router):
         problem: RoutingProblem,
         seed: int | None = None,
         *,
-        batch: bool | str = True,
+        batch: bool = True,
         workers: int | None = 1,
         packet_offset: int = 0,
         budget=None,

@@ -27,7 +27,7 @@ def route_sharded(
     seed: int | None = None,
     *,
     workers: int | None = None,
-    batch: bool | str = True,
+    batch: bool = True,
     packet_offset: int = 0,
     executor=None,
     budget=None,

@@ -90,7 +90,7 @@ class ShardTask:
     problem: RoutingProblem
     entropy: int  #: resolved in the parent — identical for every shard
     offset: int  #: global index of the shard's first packet
-    batch: bool | str
+    batch: bool
     warm_keys: tuple = ()
     profile: bool = False
     #: parent's kernel backend — workers pin theirs to match (results are

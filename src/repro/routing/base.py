@@ -283,7 +283,7 @@ class Router(ABC):
         problem: RoutingProblem,
         seed: int | None = None,
         *,
-        batch: bool | str = True,
+        batch: bool = True,
         workers: int | None = 1,
         packet_offset: int = 0,
         budget=None,
@@ -291,9 +291,8 @@ class Router(ABC):
         """Route every packet of ``problem`` independently.
 
         ``batch=True`` uses the vectorised engine when :meth:`batch_spec`
-        offers one; ``batch="loop"`` runs the engine's scalar reference
-        assembly (byte-identical paths, for testing); ``batch=False``
-        forces the legacy per-packet stream loop.
+        offers one; ``batch=False`` forces the legacy per-packet stream
+        loop.
 
         ``workers`` selects sharded execution (:mod:`repro.parallel`):
         ``1`` routes in-process, ``N > 1`` splits the problem over ``N``
@@ -312,8 +311,8 @@ class Router(ABC):
         to the result; ``enforce`` degrades over-budget packets down the
         deterministic recycled/dimension-order ladder.
         """
-        if not isinstance(batch, bool) and batch != "loop":
-            raise ValueError(f"unknown batch mode {batch!r}; use True, False or 'loop'")
+        if not isinstance(batch, bool):
+            raise ValueError(f"unknown batch mode {batch!r}; use True or False")
         params = BudgetParams.resolve(budget)
         if workers is not None and workers != 1:
             from repro.parallel import route_sharded
@@ -336,10 +335,7 @@ class Router(ABC):
                 from repro.routing.engine import run_batch
 
                 spec.packet_offset = packet_offset
-                mode = "loop" if batch == "loop" else "array"
-                return run_batch(
-                    self, spec, problem, entropy, assemble=mode, budget=params
-                )
+                return run_batch(self, spec, problem, entropy, budget=params)
 
         # Per-packet scalar branch, with the same metering/enforcement the
         # engine applies array-wise.

@@ -29,9 +29,9 @@ does the rest with a handful of numpy passes over *all* packets at once:
    ``segment * n + node`` keys); only the few offending paths go through
    :func:`~repro.mesh.paths.remove_cycles`.
 
-``assemble="loop"`` builds the same waypoints/orders but connects them
-with the scalar :func:`~repro.mesh.paths.dimension_order_path` — the
-byte-identical reference that ``tests/test_engine.py`` compares against.
+:func:`repro.verify.oracles._oracle_batch_paths` replays the same plan
+one packet at a time from scalar primitives — the byte-identical
+reference that ``tests/test_engine.py`` compares against.
 
 Torus meshes are *not* supported (wrap-around steps break the
 constant-stride expansion); ``batch_spec`` implementations return ``None``
@@ -56,7 +56,7 @@ from repro.core.budget import (
 from repro.core.pathset import PathSet
 from repro.core.randomness import packet_stream, packet_uniforms, resolve_entropy
 from repro.mesh.mesh import Mesh
-from repro.mesh.paths import concatenate_paths, dimension_order_path, remove_cycles
+from repro.mesh.paths import dimension_order_path
 from repro.routing.base import RoutingProblem, RoutingResult
 
 __all__ = ["BatchSpec", "run_batch", "draw_plan", "build_waypoints", "resolve_orders"]
@@ -126,7 +126,7 @@ def draw_plan(
     (:func:`~repro.core.randomness.packet_uniforms`), so the plan row of a
     packet is invariant under any re-batching of the problem.  The draw
     order (waypoints first, then orderings) is part of the canonical
-    protocol; the loop reference consumes the identical plan.
+    protocol; the verify oracle replays the identical plan.
     """
     N, S, d = spec.box_lo.shape
     n_way = S * d
@@ -235,29 +235,6 @@ def _assemble_array(
     return pathset
 
 
-def _assemble_loop(spec: BatchSpec, W: np.ndarray, orders: np.ndarray) -> list[np.ndarray]:
-    """Scalar reference: same plan, assembled with the classic primitives.
-
-    Exists so the byte-identity of the array assembly is *testable* — both
-    consume identical waypoints and orderings, so their outputs must match
-    to the last byte.
-    """
-    mesh = spec.mesh
-    strides = mesh.strides
-    paths = []
-    for i in range(W.shape[0]):
-        pieces = []
-        for j in range(spec.num_subpaths):
-            a = int(W[i, j] @ strides)
-            b = int(W[i, j + 1] @ strides)
-            pieces.append(dimension_order_path(mesh, a, b, tuple(orders[i, j])))
-        path = concatenate_paths(pieces)
-        if spec.drop_cycles:
-            path = remove_cycles(path)
-        paths.append(path)
-    return paths
-
-
 def _sliced_spec(spec: BatchSpec, rows: np.ndarray, indices: np.ndarray) -> BatchSpec:
     """``spec`` restricted to ``rows``, pinned to their global indices."""
     return BatchSpec(
@@ -326,7 +303,6 @@ def run_batch(
     problem: RoutingProblem,
     seed: int | None = None,
     *,
-    assemble: str = "array",
     budget=None,
 ) -> RoutingResult:
     """Route ``problem`` under ``spec``; the batched half of ``Router.route``.
@@ -406,12 +382,7 @@ def run_batch(
             "engine.rng_values", U_way.size + (U_ord.size if U_ord is not None else 0)
         )
     with stage("engine.assemble"):
-        if assemble == "array":
-            paths = _assemble_array(spec, W, orders, profiler)
-        elif assemble == "loop":
-            paths = _assemble_loop(spec, W, orders)
-        else:
-            raise ValueError(f"unknown assemble mode {assemble!r}")
+        paths = _assemble_array(spec, W, orders, profiler)
     result = RoutingResult(problem, paths, router.name, entropy)
     result.budget = ledger
     return result

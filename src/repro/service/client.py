@@ -72,7 +72,7 @@ class ServiceClient:
         torus: bool = False,
         router: str = "hierarchical",
         seed: int | None = 0,
-        batch: bool | str = True,
+        batch: bool = True,
         workload: str | None = None,
         workload_seed: int = 0,
     ) -> RoutingResult:

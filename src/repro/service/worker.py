@@ -33,7 +33,7 @@ class RouteRequest:
     torus: bool
     router: str
     entropy: int  #: resolved by the server — never ``None`` here
-    batch: bool | str = True
+    batch: bool = True
     #: exactly one of (``sources``/``dests``, ``pairs``) carries the pairs
     sources: np.ndarray | None = None
     dests: np.ndarray | None = None

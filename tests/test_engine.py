@@ -15,6 +15,7 @@ from repro.routing.baselines import (
     RandomDimOrderRouter,
     ValiantRouter,
 )
+from repro.verify.oracles import _oracle_batch_paths
 from repro.workloads.generators import nearest_neighbor, random_pairs
 from repro.workloads.permutations import random_permutation, transpose
 
@@ -31,42 +32,49 @@ HIER_CONFIGS = [
 
 
 def _assert_identical(result_a, result_b, mesh, problem):
-    assert len(result_a.paths) == len(result_b.paths)
-    for pa, pb, s, t in zip(
-        result_a.paths, result_b.paths, problem.sources, problem.dests
-    ):
+    _assert_paths_identical(result_a.paths, result_b.paths, mesh, problem)
+
+
+def _assert_paths_identical(paths_a, paths_b, mesh, problem):
+    assert len(paths_a) == len(paths_b)
+    for pa, pb, s, t in zip(paths_a, paths_b, problem.sources, problem.dests):
         assert pa.dtype == np.int64 and pb.dtype == np.int64
         assert pa.tobytes() == pb.tobytes()
         assert is_valid_path(mesh, pa, int(s), int(t))
 
 
+def _oracle_paths(router, problem, seed):
+    """The engine plan replayed scalar by scalar (the verify oracle)."""
+    spec = router.batch_spec(problem)
+    return [
+        np.asarray(p, dtype=np.int64) for p in _oracle_batch_paths(spec, seed)
+    ]
+
+
+def _assert_matches_oracle(router, problem, seed):
+    _assert_paths_identical(
+        router.route(problem, seed=seed).paths,
+        _oracle_paths(router, problem, seed),
+        problem.mesh,
+        problem,
+    )
+
+
 class TestByteIdentity:
-    """The acceptance contract: array assembly == scalar loop assembly,
-    byte for byte, from the same random plan."""
+    """The acceptance contract: the array engine == the scalar oracle's
+    per-packet replay of the same random plan, byte for byte."""
 
     @pytest.mark.parametrize("config", HIER_CONFIGS, ids=lambda c: str(c) or "default")
     def test_hierarchical(self, config):
         mesh = Mesh((16, 16))
         problem = transpose(mesh)
-        router = HierarchicalRouter(**config)
-        _assert_identical(
-            router.route(problem, seed=7),
-            router.route(problem, seed=7, batch="loop"),
-            mesh,
-            problem,
-        )
+        _assert_matches_oracle(HierarchicalRouter(**config), problem, 7)
 
     @pytest.mark.parametrize("sides", [(8, 8), (4, 4, 4), (2, 2, 2, 2, 2)])
     def test_dimensions(self, sides):
         mesh = Mesh(sides)
         problem = random_pairs(mesh, 64, seed=5)
-        router = HierarchicalRouter()
-        _assert_identical(
-            router.route(problem, seed=2),
-            router.route(problem, seed=2, batch="loop"),
-            mesh,
-            problem,
-        )
+        _assert_matches_oracle(HierarchicalRouter(), problem, 2)
 
     @pytest.mark.parametrize(
         "router",
@@ -83,12 +91,7 @@ class TestByteIdentity:
     def test_baselines(self, router):
         mesh = Mesh((16, 16))
         problem = nearest_neighbor(mesh, seed=9)
-        _assert_identical(
-            router.route(problem, seed=3),
-            router.route(problem, seed=3, batch="loop"),
-            mesh,
-            problem,
-        )
+        _assert_matches_oracle(router, problem, 3)
 
     def test_self_loops_and_duplicates(self):
         mesh = Mesh((8, 8))
@@ -98,9 +101,8 @@ class TestByteIdentity:
             np.array([5, 41, 41, 63]),
         )
         router = HierarchicalRouter()
-        res = router.route(problem, seed=1)
-        _assert_identical(res, router.route(problem, seed=1, batch="loop"), mesh, problem)
-        assert res.paths[0].tolist() == [5]
+        _assert_matches_oracle(router, problem, 1)
+        assert router.route(problem, seed=1).paths[0].tolist() == [5]
 
     def test_deterministic_router_matches_legacy_exactly(self):
         # dim-order has no randomness, so even the legacy loop must agree.
@@ -191,6 +193,9 @@ class TestFallbacks:
         mesh = Mesh((8, 8))
         with pytest.raises(ValueError, match="batch mode"):
             HierarchicalRouter().route(transpose(mesh), seed=0, batch="nonsense")
+        # the scalar-assembly mode is gone: the verify oracle replaces it
+        with pytest.raises(ValueError, match="batch mode"):
+            HierarchicalRouter().route(transpose(mesh), seed=0, batch="loop")
 
 
 class TestEmptyProblems:
@@ -206,7 +211,7 @@ class TestEmptyProblems:
         empty = np.empty(0, dtype=np.int64)
         return RoutingProblem(mesh, empty, empty, name="empty")
 
-    @pytest.mark.parametrize("batch", [True, "loop", False], ids=str)
+    @pytest.mark.parametrize("batch", [True, False], ids=str)
     def test_every_registered_router(self, empty_problem, batch):
         from repro.routing.registry import available_routers, make_router
 
@@ -228,10 +233,10 @@ class TestEmptyProblems:
         router = HierarchicalRouter()
         spec = router.batch_spec(empty_problem)
         assert spec is not None and spec.num_packets == 0
-        for mode in ("array", "loop"):
-            result = run_batch(router, spec, empty_problem, seed=0, assemble=mode)
-            assert len(result.paths) == 0
-            assert result.paths.nodes.size == 0
+        result = run_batch(router, spec, empty_problem, seed=0)
+        assert len(result.paths) == 0
+        assert result.paths.nodes.size == 0
+        assert _oracle_batch_paths(spec, 0) == []
 
     def test_empty_goes_through_the_engine(self, empty_problem):
         """The num_packets guard is gone: batch=True on an empty problem
