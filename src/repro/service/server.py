@@ -49,7 +49,7 @@ class _RoutePayload:
     torus: bool
     router: str
     entropy: int
-    batch: bool | str
+    batch: bool
     sources: np.ndarray
     dests: np.ndarray
 
@@ -120,6 +120,9 @@ class RoutingService:
         self._stop_lock = threading.Lock()
         self._stopped = False
         self._accept_thread: threading.Thread | None = None
+        # open connections and their handler threads, for teardown
+        self._conns: dict[socket.socket, threading.Thread] = {}
+        self._conns_lock = threading.Lock()
         self._started = False
 
     # -- lifecycle -----------------------------------------------------
@@ -167,14 +170,23 @@ class RoutingService:
             self._teardown()
 
     def _teardown(self) -> None:
+        conns: dict = {}
         if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:  # pragma: no cover
-                pass
-        if self._accept_thread is not None:
+            # close() wakes neither a thread blocked in accept() nor a
+            # handler blocked in recv(); shutdown() does.  _stop is set, so
+            # the accept loop refuses anything it accepts from here on.
+            with self._conns_lock:
+                conns = dict(self._conns)
+            for sock in (self._sock, *conns):
+                try:
+                    sock.shutdown(socket.SHUT_RDWR)
+                except OSError:  # already closed by its handler
+                    pass
             self._accept_thread.join(timeout=10)
+            self._sock.close()
         self.batcher.stop()
+        for handler in conns.values():
+            handler.join(timeout=10)
         self.pool.shutdown()
         if os.path.exists(self.socket_path):
             os.unlink(self.socket_path)
@@ -194,14 +206,24 @@ class RoutingService:
         while not self._stop.is_set():
             try:
                 conn, _ = self._sock.accept()
-            except OSError:  # listener closed by stop()
+            except OSError:  # listener shut down by stop()
                 return
-            threading.Thread(
+            handler = threading.Thread(
                 target=self._handle_connection,
                 args=(conn,),
                 name="repro-handler",
                 daemon=True,
-            ).start()
+            )
+            with self._conns_lock:
+                if self._stop.is_set():
+                    conn.close()
+                    return
+                # forget finished handlers; stop() joins the live ones
+                self._conns = {
+                    c: h for c, h in self._conns.items() if h.is_alive()
+                }
+                self._conns[conn] = handler
+            handler.start()
 
     def _handle_connection(self, conn: socket.socket) -> None:
         with conn:

@@ -326,6 +326,30 @@ class TestLifecycleHygiene:
         svc.stop()  # second call returns immediately, no error
         assert not os.path.exists(sock)
 
+    def test_stop_with_a_connected_client_is_prompt_and_joins_threads(
+        self, tmp_path
+    ):
+        """Closing a listener wakes neither accept() nor a handler blocked
+        in recv(): stop() must shut the sockets down and join both."""
+        before = set(threading.enumerate())
+        sock = str(tmp_path / "conn.sock")
+        svc = RoutingService(sock, workers=1).start()
+        client = ServiceClient(sock)
+        try:
+            client.ping()
+            t0 = time.monotonic()
+            svc.stop()
+            elapsed = time.monotonic() - t0
+        finally:
+            client.close()
+        assert elapsed < 1.0, f"stop() took {elapsed:.2f}s"
+        left = [
+            t.name
+            for t in set(threading.enumerate()) - before
+            if t.name in ("repro-accept", "repro-handler")
+        ]
+        assert left == [], f"threads left after stop(): {left}"
+
     def test_shutdown_op_stops_the_daemon(self, tmp_path):
         sock = str(tmp_path / "op.sock")
         svc = RoutingService(sock, workers=1).start()
