@@ -347,5 +347,7 @@ class Profiler:
         self._owns_sink = False
 
 
-#: Shared do-nothing sentinel some call sites use instead of ``None`` checks.
+#: The "no profiler" value: ``None``.  Call sites that accept a profiler
+#: test ``profiler is not None`` before recording; this name only spells
+#: that default out.
 NULL_PROFILER: Profiler | None = None
